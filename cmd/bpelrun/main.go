@@ -36,6 +36,7 @@ import (
 	"os"
 	"strings"
 
+	"wfsql/internal/bea"
 	"wfsql/internal/bpelxml"
 	"wfsql/internal/engine"
 	"wfsql/internal/journal"
@@ -122,7 +123,7 @@ func main() {
 	bus := wsbus.New()
 	supplier := wsbus.NewOrderFromSupplier(0)
 	bus.Register("OrderFromSupplier", supplier.Handle)
-	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
+	bea.RegisterSQLAdapter(bus, "SQLAdapter", db)
 
 	e := engine.New(bus)
 	e.RegisterDataSource(*dsName, db)

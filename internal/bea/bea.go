@@ -9,13 +9,17 @@
 //
 // Processes are ordinary engine processes; the only data management
 // surface is InvokeSQLAdapter, which builds an invoke activity against a
-// registered SQL adapter service (wsbus.RegisterSQLAdapter).
+// SQL adapter service registered with RegisterSQLAdapter.
 package bea
 
 import (
 	"fmt"
+	"strconv"
 
 	"wfsql/internal/engine"
+	"wfsql/internal/rowset"
+	"wfsql/internal/sqldb"
+	"wfsql/internal/wsbus"
 )
 
 // ProcessBuilder assembles an AquaLogic-style BPEL process. It
@@ -83,4 +87,52 @@ func InvokeSQLAdapter(name, service, statement string, rowsetVar, rowsAffectedVa
 		inv.Out("rowsAffected", rowsAffectedVar)
 	}
 	return inv, nil
+}
+
+// RegisterSQLAdapter registers the *adapter technology* of the paper's
+// Figure 1: a service that encapsulates SQL-specific functionality and
+// masks data management operations as a Web service. The process logic
+// calling it sees only a service; data management issues stay outside the
+// choreography.
+//
+// Request parts:
+//
+//	statement — the SQL text to execute
+//	p1..pN    — optional positional parameter values (bound as strings)
+//
+// Response parts:
+//
+//	rowsAffected — for DML
+//	rowset       — serialized XML RowSet, for queries
+//	rows         — row count, for queries
+func RegisterSQLAdapter(b *wsbus.Bus, name string, db *sqldb.DB) {
+	b.Register(name, func(req wsbus.Message) (wsbus.Message, error) {
+		stmt := req["statement"]
+		if stmt == "" {
+			return nil, fmt.Errorf("sql adapter: missing statement")
+		}
+		var params []sqldb.Value
+		for i := 1; ; i++ {
+			v, ok := req[fmt.Sprintf("p%d", i)]
+			if !ok {
+				break
+			}
+			params = append(params, sqldb.Str(v))
+		}
+		res, err := db.Exec(stmt, params...)
+		if err != nil {
+			return nil, err
+		}
+		if !res.IsQuery() {
+			return wsbus.Message{"rowsAffected": strconv.Itoa(res.RowsAffected)}, nil
+		}
+		rs, err := rowset.FromResult(res)
+		if err != nil {
+			return nil, err
+		}
+		return wsbus.Message{
+			"rowset": rs.String(),
+			"rows":   strconv.Itoa(len(res.Rows)),
+		}, nil
+	})
 }

@@ -18,7 +18,7 @@ func newEnv() (*engine.Engine, *sqldb.DB) {
 	db.MustExec(`INSERT INTO Orders VALUES
 		(1, 'bolt', 10, TRUE), (2, 'bolt', 5, TRUE), (3, 'nut', 3, TRUE), (4, 'screw', 2, FALSE)`)
 	bus := wsbus.New()
-	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
+	RegisterSQLAdapter(bus, "SQLAdapter", db)
 	return engine.New(bus), db
 }
 
@@ -102,5 +102,36 @@ func TestNoInlineSupport(t *testing.T) {
 	}
 	if strings.Contains(strings.ToLower(p.Name), "sql") {
 		t.Fatal("sanity")
+	}
+}
+
+func TestSQLAdapterQueryAndDML(t *testing.T) {
+	db := sqldb.Open("a")
+	db.MustExec("CREATE TABLE t (x INTEGER, s VARCHAR)")
+	b := wsbus.New()
+	RegisterSQLAdapter(b, "sql", db)
+
+	resp, err := b.Invoke("sql", wsbus.Message{
+		"statement": "INSERT INTO t VALUES (?, ?)", "p1": "1", "p2": "one"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp["rowsAffected"] != "1" {
+		t.Fatalf("dml response: %v", resp)
+	}
+
+	resp, err = b.Invoke("sql", wsbus.Message{"statement": "SELECT x, s FROM t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp["rows"] != "1" || !strings.Contains(resp["rowset"], "<s>one</s>") {
+		t.Fatalf("query response: %v", resp)
+	}
+
+	if _, err := b.Invoke("sql", wsbus.Message{}); err == nil {
+		t.Fatal("missing statement must error")
+	}
+	if _, err := b.Invoke("sql", wsbus.Message{"statement": "SELEC"}); err == nil {
+		t.Fatal("bad SQL must error")
 	}
 }

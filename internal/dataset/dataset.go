@@ -102,6 +102,9 @@ func (r *DataRow) Delete() {
 	if r.state == Unchanged {
 		r.original = append([]sqldb.Value(nil), r.current...)
 	}
+	if r.state != Deleted {
+		r.table.deleted++
+	}
 	r.state = Deleted
 }
 
@@ -128,6 +131,7 @@ type DataTable struct {
 	Columns    []string
 	PrimaryKey []string
 	rows       []*DataRow // includes Deleted rows until AcceptChanges
+	deleted    int        // Deleted rows in rows: the live count is len(rows)-deleted
 }
 
 // NewDataTable creates an empty table with the given columns.
@@ -166,6 +170,9 @@ func (t *DataTable) removeRow(r *DataRow) {
 	for i, rr := range t.rows {
 		if rr == r {
 			t.rows = append(t.rows[:i], t.rows[i+1:]...)
+			if r.state == Deleted {
+				t.deleted--
+			}
 			return
 		}
 	}
@@ -189,15 +196,24 @@ func (t *DataTable) AllRows() []*DataRow {
 }
 
 // Count returns the number of live rows.
-func (t *DataTable) Count() int { return len(t.Rows()) }
+func (t *DataTable) Count() int { return len(t.rows) - t.deleted }
 
-// Row returns the i-th live row (random access), or an error.
+// Row returns the i-th live row (random access), or an error. It indexes
+// directly unless Deleted rows are tracked, and never allocates.
 func (t *DataTable) Row(i int) (*DataRow, error) {
-	rows := t.Rows()
-	if i < 0 || i >= len(rows) {
-		return nil, fmt.Errorf("dataset: row %d out of range (0..%d)", i, len(rows)-1)
+	if i >= 0 && i < t.Count() {
+		if t.deleted == 0 {
+			return t.rows[i], nil
+		}
+		for j, r := range t.rows {
+			if r.state == Deleted {
+				i++ // the live row wanted lies one further on
+			} else if j == i {
+				return r, nil
+			}
+		}
 	}
-	return rows[i], nil
+	return nil, fmt.Errorf("dataset: row %d out of range (0..%d)", i, t.Count()-1)
 }
 
 // Select returns live rows matching the predicate (ADO.NET's
@@ -276,7 +292,7 @@ func (t *DataTable) AcceptChanges() {
 		r.original = nil
 		kept = append(kept, r)
 	}
-	t.rows = kept
+	t.rows, t.deleted = kept, 0
 }
 
 // RejectChanges rolls the cache back to the last accepted state.
@@ -293,7 +309,7 @@ func (t *DataTable) RejectChanges() {
 		}
 		kept = append(kept, r)
 	}
-	t.rows = kept
+	t.rows, t.deleted = kept, 0
 }
 
 // DataSet is a named collection of cached tables.

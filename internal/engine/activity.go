@@ -376,12 +376,7 @@ func (a *Assign) execCopy(ctx *Ctx, cp CopySpec) error {
 // string content otherwise).
 func replaceContent(target *xdm.Node, from xpath.Value) {
 	if n := from.FirstNode(); n != nil && from.Kind == xpath.KindNodeSet && n.Kind == xdm.ElementNode {
-		clone := n.Clone()
-		target.Children = nil
-		target.Attrs = append([]xdm.Attr(nil), clone.Attrs...)
-		for _, c := range clone.Children {
-			target.AppendChild(c)
-		}
+		target.ReplaceContent(n.Clone())
 		return
 	}
 	target.SetText(from.AsString())

@@ -127,11 +127,7 @@ func (a *BpelxAssign) execOp(ctx *engine.Ctx, op BpelxOp) error {
 			return fmt.Errorf("bpelx: copy target path selected no node")
 		}
 		if fromNode != nil {
-			tn.Children = nil
-			tn.Attrs = append([]xdm.Attr(nil), fromNode.Attrs...)
-			for _, c := range fromNode.Children {
-				tn.AppendChild(c)
-			}
+			tn.ReplaceContent(fromNode)
 		} else {
 			tn.SetText(fromVal.AsString())
 		}

@@ -3,6 +3,7 @@ package patterns
 import (
 	"fmt"
 
+	"wfsql/internal/bea"
 	"wfsql/internal/engine"
 	"wfsql/internal/mswf"
 	"wfsql/internal/orasoa"
@@ -47,7 +48,7 @@ func NewEnv() *Env {
 	bus := wsbus.New()
 	supplier := wsbus.NewOrderFromSupplier(0)
 	bus.Register("OrderFromSupplier", supplier.Handle)
-	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
+	bea.RegisterSQLAdapter(bus, "SQLAdapter", db)
 
 	e := engine.New(bus)
 	e.RegisterDataSource(DataSourceName, db)

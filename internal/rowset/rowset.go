@@ -78,11 +78,15 @@ func ToValues(root *xdm.Node) (columns []string, rows [][]sqldb.Value, err error
 	return columns, rows, nil
 }
 
+// isRow reports whether c is a tuple element: the one definition Count,
+// Rows, Row and the cursor share, so a loop and its bind step agree.
+func isRow(c *xdm.Node) bool { return c.Kind == xdm.ElementNode && c.Name == RowElement }
+
 // Count returns the number of tuples in the RowSet.
 func Count(root *xdm.Node) int {
 	n := 0
-	for _, c := range root.ChildElements() {
-		if c.Name == RowElement {
+	for _, c := range root.Children {
+		if isRow(c) {
 			n++
 		}
 	}
@@ -92,8 +96,8 @@ func Count(root *xdm.Node) int {
 // Rows returns the tuple elements in order.
 func Rows(root *xdm.Node) []*xdm.Node {
 	var out []*xdm.Node
-	for _, c := range root.ChildElements() {
-		if c.Name == RowElement {
+	for _, c := range root.Children {
+		if isRow(c) {
 			out = append(out, c)
 		}
 	}
@@ -102,11 +106,15 @@ func Rows(root *xdm.Node) []*xdm.Node {
 
 // Row returns the i-th (0-based) tuple element, or nil.
 func Row(root *xdm.Node, i int) *xdm.Node {
-	rows := Rows(root)
-	if i < 0 || i >= len(rows) {
-		return nil
+	for _, c := range root.Children {
+		if isRow(c) {
+			if i == 0 {
+				return c
+			}
+			i--
+		}
 	}
-	return rows[i]
+	return nil
 }
 
 // Field returns the text of the named cell of a tuple element.

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-
-	"wfsql/internal/rowset"
-	"wfsql/internal/sqldb"
 )
 
 // OrderFromSupplierService is the paper's sample Web service: it takes an
@@ -49,52 +46,4 @@ func (s *OrderFromSupplierService) Ordered(item string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ordered[item]
-}
-
-// RegisterSQLAdapter registers the *adapter technology* of the paper's
-// Figure 1: a service that encapsulates SQL-specific functionality and
-// masks data management operations as a Web service. The process logic
-// calling it sees only a service; data management issues stay outside the
-// choreography.
-//
-// Request parts:
-//
-//	statement — the SQL text to execute
-//	p1..pN    — optional positional parameter values (bound as strings)
-//
-// Response parts:
-//
-//	rowsAffected — for DML
-//	rowset       — serialized XML RowSet, for queries
-//	rows         — row count, for queries
-func RegisterSQLAdapter(b *Bus, name string, db *sqldb.DB) {
-	b.Register(name, func(req Message) (Message, error) {
-		stmt := req["statement"]
-		if stmt == "" {
-			return nil, fmt.Errorf("sql adapter: missing statement")
-		}
-		var params []sqldb.Value
-		for i := 1; ; i++ {
-			v, ok := req[fmt.Sprintf("p%d", i)]
-			if !ok {
-				break
-			}
-			params = append(params, sqldb.Str(v))
-		}
-		res, err := db.Exec(stmt, params...)
-		if err != nil {
-			return nil, err
-		}
-		if !res.IsQuery() {
-			return Message{"rowsAffected": strconv.Itoa(res.RowsAffected)}, nil
-		}
-		rs, err := rowset.FromResult(res)
-		if err != nil {
-			return nil, err
-		}
-		return Message{
-			"rowset": rs.String(),
-			"rows":   strconv.Itoa(len(res.Rows)),
-		}, nil
-	})
 }

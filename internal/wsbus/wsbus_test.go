@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"wfsql/internal/sqldb"
 )
 
 func TestRegisterInvoke(t *testing.T) {
@@ -87,36 +85,5 @@ func TestOrderFromSupplier(t *testing.T) {
 	}
 	if _, err := svc.Handle(Message{"ItemID": "x", "Quantity": "-1"}); err == nil {
 		t.Fatal("negative quantity must error")
-	}
-}
-
-func TestSQLAdapterQueryAndDML(t *testing.T) {
-	db := sqldb.Open("a")
-	db.MustExec("CREATE TABLE t (x INTEGER, s VARCHAR)")
-	b := New()
-	RegisterSQLAdapter(b, "sql", db)
-
-	resp, err := b.Invoke("sql", Message{
-		"statement": "INSERT INTO t VALUES (?, ?)", "p1": "1", "p2": "one"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp["rowsAffected"] != "1" {
-		t.Fatalf("dml response: %v", resp)
-	}
-
-	resp, err = b.Invoke("sql", Message{"statement": "SELECT x, s FROM t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp["rows"] != "1" || !strings.Contains(resp["rowset"], "<s>one</s>") {
-		t.Fatalf("query response: %v", resp)
-	}
-
-	if _, err := b.Invoke("sql", Message{}); err == nil {
-		t.Fatal("missing statement must error")
-	}
-	if _, err := b.Invoke("sql", Message{"statement": "SELEC"}); err == nil {
-		t.Fatal("bad SQL must error")
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // Kind discriminates node kinds.
-type Kind int
+type Kind uint8
 
 // Node kinds.
 const (
@@ -38,6 +38,7 @@ type Attr struct {
 // Node is an XML element or text node.
 type Node struct {
 	Kind     Kind
+	gen      uint32 // see Gen; packed beside Kind so Node stays 96 bytes
 	Name     string // element name; empty for text nodes
 	Text     string // text content; only for text nodes
 	Attrs    []Attr
@@ -54,11 +55,30 @@ func NewText(text string) *Node { return &Node{Kind: TextNode, Text: text} }
 // Parent returns the node's parent, or nil for a root.
 func (n *Node) Parent() *Node { return n.parent }
 
+// Gen returns the node's child-list generation, which every method that
+// changes Children moves. Code outside this package must not set Children.
+func (n *Node) Gen() uint32 { return n.gen }
+
 // AppendChild adds c as the last child of n and returns n for chaining.
 func (n *Node) AppendChild(c *Node) *Node {
 	c.parent = n
 	n.Children = append(n.Children, c)
+	n.gen++
 	return n
+}
+
+// ReplaceContent gives n the attributes and children of src, a copy
+// used nowhere else: src's children move under n.
+func (n *Node) ReplaceContent(src *Node) {
+	for _, c := range n.Children {
+		c.parent = nil
+	}
+	n.Attrs = append([]Attr(nil), src.Attrs...)
+	n.Children = nil
+	n.gen++
+	for _, c := range src.Children {
+		n.AppendChild(c)
+	}
 }
 
 // RemoveChild removes the child c (by identity). It reports whether c was
@@ -68,6 +88,7 @@ func (n *Node) RemoveChild(c *Node) bool {
 		if ch == c {
 			n.Children = append(n.Children[:i], n.Children[i+1:]...)
 			c.parent = nil
+			n.gen++
 			return true
 		}
 	}
@@ -78,6 +99,7 @@ func (n *Node) RemoveChild(c *Node) bool {
 // If ref is nil, newChild is inserted first.
 func (n *Node) InsertChildAfter(ref, newChild *Node) error {
 	newChild.parent = n
+	n.gen++
 	if ref == nil {
 		n.Children = append([]*Node{newChild}, n.Children...)
 		return nil
@@ -384,22 +406,9 @@ func Parse(src string) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			name := t.Name.Local
-			if t.Name.Space != "" {
-				// Preserve the raw prefix if one was written; encoding/xml
-				// expands prefixes to URLs, so treat the space as a prefix
-				// only when it contains no scheme separator.
-				if !strings.Contains(t.Name.Space, "/") && !strings.Contains(t.Name.Space, ":") {
-					name = t.Name.Space + ":" + t.Name.Local
-				}
-			}
-			n := NewElement(name)
+			n := NewElement(prefixedName(t.Name))
 			for _, a := range t.Attr {
-				an := a.Name.Local
-				if a.Name.Space != "" && !strings.Contains(a.Name.Space, "/") && !strings.Contains(a.Name.Space, ":") {
-					an = a.Name.Space + ":" + a.Name.Local
-				}
-				n.SetAttr(an, a.Value)
+				n.SetAttr(prefixedName(a.Name), a.Value)
 			}
 			if len(stack) == 0 {
 				if root != nil {
@@ -429,6 +438,16 @@ func Parse(src string) (*Node, error) {
 		return nil, fmt.Errorf("xdm: unclosed elements")
 	}
 	return root, nil
+}
+
+// prefixedName keeps the raw prefix if one was written. encoding/xml
+// expands prefixes to URLs, so the space counts as a prefix only when it
+// contains no scheme separator.
+func prefixedName(n xml.Name) string {
+	if n.Space == "" || strings.ContainsAny(n.Space, "/:") {
+		return n.Local
+	}
+	return n.Space + ":" + n.Local
 }
 
 // MustParse parses XML and panics on error (for tests and fixtures).

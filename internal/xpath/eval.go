@@ -99,83 +99,55 @@ func (b *binaryOp) evalNode(ctx *Context) (Value, error) {
 // equalityCompare implements XPath 1.0 = / != semantics including node-set
 // existential comparison.
 func equalityCompare(l, r Value, negate bool) bool {
-	eq := func(a, b Value) bool {
+	return existential(l, r, func(a, b Value) bool {
 		// If either is a boolean, compare as booleans; else if either is a
 		// number, compare as numbers; else as strings.
-		if a.Kind == KindBoolean || b.Kind == KindBoolean {
-			return a.AsBool() == b.AsBool()
+		switch {
+		case a.Kind == KindBoolean || b.Kind == KindBoolean:
+			return (a.AsBool() == b.AsBool()) != negate
+		case a.Kind == KindNumber || b.Kind == KindNumber:
+			return (a.AsNumber() == b.AsNumber()) != negate
 		}
-		if a.Kind == KindNumber || b.Kind == KindNumber {
-			return a.AsNumber() == b.AsNumber()
-		}
-		return a.AsString() == b.AsString()
-	}
-	if l.Kind == KindNodeSet && r.Kind == KindNodeSet {
-		for _, ln := range l.Nodes {
-			for _, rn := range r.Nodes {
-				if (ln.TextContent() == rn.TextContent()) != negate {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if l.Kind == KindNodeSet {
-		for _, ln := range l.Nodes {
-			if eq(String(ln.TextContent()), r) != negate {
-				return true
-			}
-		}
-		return false
-	}
-	if r.Kind == KindNodeSet {
-		for _, rn := range r.Nodes {
-			if eq(l, String(rn.TextContent())) != negate {
-				return true
-			}
-		}
-		return false
-	}
-	return eq(l, r) != negate
+		return (a.AsString() == b.AsString()) != negate
+	})
 }
 
 func relationalCompare(l, r Value, op string) bool {
-	cmp := func(a, b float64) bool {
+	return existential(l, r, func(a, b Value) bool {
+		x, y := a.AsNumber(), b.AsNumber()
 		switch op {
 		case "<":
-			return a < b
+			return x < y
 		case "<=":
-			return a <= b
+			return x <= y
 		case ">":
-			return a > b
+			return x > y
 		case ">=":
-			return a >= b
+			return x >= y
 		}
 		return false
+	})
+}
+
+// existential reports whether cmp holds for some pairing of l's and r's
+// items, where a node-set contributes the string value of each node and
+// any other value is its own single item.
+func existential(l, r Value, cmp func(a, b Value) bool) bool {
+	return anyItem(l, func(a Value) bool {
+		return anyItem(r, func(b Value) bool { return cmp(a, b) })
+	})
+}
+
+func anyItem(v Value, pred func(Value) bool) bool {
+	if v.Kind != KindNodeSet {
+		return pred(v)
 	}
-	if l.Kind == KindNodeSet {
-		for _, ln := range l.Nodes {
-			if r.Kind == KindNodeSet {
-				for _, rn := range r.Nodes {
-					if cmp(String(ln.TextContent()).AsNumber(), String(rn.TextContent()).AsNumber()) {
-						return true
-					}
-				}
-			} else if cmp(String(ln.TextContent()).AsNumber(), r.AsNumber()) {
-				return true
-			}
+	for _, n := range v.Nodes {
+		if pred(String(n.TextContent())) {
+			return true
 		}
-		return false
 	}
-	if r.Kind == KindNodeSet {
-		for _, rn := range r.Nodes {
-			if cmp(l.AsNumber(), String(rn.TextContent()).AsNumber()) {
-				return true
-			}
-		}
-		return false
-	}
-	return cmp(l.AsNumber(), r.AsNumber())
+	return false
 }
 
 func (f *filterExpr) evalNode(ctx *Context) (Value, error) {
@@ -186,21 +158,19 @@ func (f *filterExpr) evalNode(ctx *Context) (Value, error) {
 	if v.Kind != KindNodeSet {
 		return Value{}, fmt.Errorf("xpath: predicate applied to non-node-set")
 	}
-	nodes := v.Nodes
-	for _, pred := range f.preds {
-		nodes, err = applyPredicate(nodes, pred, ctx)
-		if err != nil {
-			return Value{}, err
-		}
+	nodes, err := applyPredicates(v.Nodes, f.preds, ctx)
+	if err != nil {
+		return Value{}, err
 	}
 	return NodeSet(nodes...), nil
 }
 
 func applyPredicate(nodes []*xdm.Node, pred node, ctx *Context) ([]*xdm.Node, error) {
 	var out []*xdm.Node
-	size := len(nodes)
+	// One sub-context serves every node: evaluation never retains it.
+	sub := &Context{Size: len(nodes), Vars: ctx.Vars, Funcs: ctx.Funcs}
 	for i, n := range nodes {
-		sub := &Context{Node: n, Position: i + 1, Size: size, Vars: ctx.Vars, Funcs: ctx.Funcs}
+		sub.Node, sub.Position = n, i+1
 		pv, err := pred.evalNode(sub)
 		if err != nil {
 			return nil, err
@@ -246,7 +216,7 @@ func (p *pathExpr) evalNode(ctx *Context) (Value, error) {
 				}
 			}
 			var err error
-			matched, err = applyStepPredicates(matched, st, ctx)
+			matched, err = applyPredicates(matched, st.preds, ctx)
 			if err != nil {
 				return Value{}, err
 			}
@@ -265,12 +235,20 @@ func (p *pathExpr) evalNode(ctx *Context) (Value, error) {
 func (p *pathExpr) evalSteps(current []*xdm.Node, steps []step, ctx *Context) (Value, error) {
 	for _, st := range steps {
 		var next []*xdm.Node
-		seen := map[*xdm.Node]bool{}
+		// Only a step from several context nodes can reach a node twice,
+		// so only such a step pays for the dedup map.
+		var seen map[*xdm.Node]bool
+		if len(current) > 1 {
+			seen = map[*xdm.Node]bool{}
+		}
 		add := func(n *xdm.Node) {
-			if !seen[n] {
+			if seen != nil {
+				if seen[n] {
+					return
+				}
 				seen[n] = true
-				next = append(next, n)
 			}
+			next = append(next, n)
 		}
 		for _, n := range current {
 			switch st.axis {
@@ -319,7 +297,7 @@ func (p *pathExpr) evalSteps(current []*xdm.Node, steps []step, ctx *Context) (V
 			}
 		}
 		var err error
-		next, err = applyStepPredicates(next, st, ctx)
+		next, err = applyPredicates(next, st.preds, ctx)
 		if err != nil {
 			return Value{}, err
 		}
@@ -328,9 +306,9 @@ func (p *pathExpr) evalSteps(current []*xdm.Node, steps []step, ctx *Context) (V
 	return NodeSet(current...), nil
 }
 
-func applyStepPredicates(nodes []*xdm.Node, st step, ctx *Context) ([]*xdm.Node, error) {
+func applyPredicates(nodes []*xdm.Node, preds []node, ctx *Context) ([]*xdm.Node, error) {
 	var err error
-	for _, pred := range st.preds {
+	for _, pred := range preds {
 		nodes, err = applyPredicate(nodes, pred, ctx)
 		if err != nil {
 			return nil, err
@@ -371,37 +349,35 @@ func (f *funcCall) evalNode(ctx *Context) (Value, error) {
 		if ctx.Funcs == nil {
 			return Value{}, fmt.Errorf("xpath: no function resolver for %s()", f.name)
 		}
-		args := make([]Value, len(f.args))
-		for i, a := range f.args {
-			v, err := a.evalNode(ctx)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v
+		args, err := f.evalArgs(ctx)
+		if err != nil {
+			return Value{}, err
 		}
 		return ctx.Funcs.CallFunction(f.name, args)
 	}
 	return f.evalCore(ctx)
 }
 
+func (f *funcCall) evalArgs(ctx *Context) ([]Value, error) {
+	args := make([]Value, len(f.args))
+	for i, a := range f.args {
+		v, err := a.evalNode(ctx)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = v
+	}
+	return args, nil
+}
+
+// coreArity is the argument count of each fixed-arity core function.
+var coreArity = map[string]int{
+	"count": 1, "sum": 1, "number": 1, "boolean": 1, "not": 1,
+	"contains": 2, "starts-with": 2, "substring-before": 2, "substring-after": 2,
+	"translate": 3, "floor": 1, "ceiling": 1, "round": 1,
+}
+
 func (f *funcCall) evalCore(ctx *Context) (Value, error) {
-	evalArgs := func() ([]Value, error) {
-		args := make([]Value, len(f.args))
-		for i, a := range f.args {
-			v, err := a.evalNode(ctx)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return args, nil
-	}
-	arity := func(args []Value, n int) error {
-		if len(args) != n {
-			return fmt.Errorf("xpath: %s() expects %d argument(s), got %d", f.name, n, len(args))
-		}
-		return nil
-	}
 	switch f.name {
 	case "position":
 		return Number(float64(ctx.Position)), nil
@@ -412,23 +388,20 @@ func (f *funcCall) evalCore(ctx *Context) (Value, error) {
 	case "false":
 		return Boolean(false), nil
 	}
-	args, err := evalArgs()
+	args, err := f.evalArgs(ctx)
 	if err != nil {
 		return Value{}, err
 	}
+	if n, ok := coreArity[f.name]; ok && len(args) != n {
+		return Value{}, fmt.Errorf("xpath: %s() expects %d argument(s), got %d", f.name, n, len(args))
+	}
 	switch f.name {
 	case "count":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		if args[0].Kind != KindNodeSet {
 			return Value{}, fmt.Errorf("xpath: count() requires a node-set")
 		}
 		return Number(float64(len(args[0].Nodes))), nil
 	case "sum":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		if args[0].Kind != KindNodeSet {
 			return Value{}, fmt.Errorf("xpath: sum() requires a node-set")
 		}
@@ -446,19 +419,10 @@ func (f *funcCall) evalCore(ctx *Context) (Value, error) {
 		}
 		return String(args[0].AsString()), nil
 	case "number":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		return Number(args[0].AsNumber()), nil
 	case "boolean":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		return Boolean(args[0].AsBool()), nil
 	case "not":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		return Boolean(!args[0].AsBool()), nil
 	case "concat":
 		var b strings.Builder
@@ -467,28 +431,16 @@ func (f *funcCall) evalCore(ctx *Context) (Value, error) {
 		}
 		return String(b.String()), nil
 	case "contains":
-		if err := arity(args, 2); err != nil {
-			return Value{}, err
-		}
 		return Boolean(strings.Contains(args[0].AsString(), args[1].AsString())), nil
 	case "starts-with":
-		if err := arity(args, 2); err != nil {
-			return Value{}, err
-		}
 		return Boolean(strings.HasPrefix(args[0].AsString(), args[1].AsString())), nil
 	case "substring-before":
-		if err := arity(args, 2); err != nil {
-			return Value{}, err
-		}
 		s, sep := args[0].AsString(), args[1].AsString()
 		if i := strings.Index(s, sep); i >= 0 {
 			return String(s[:i]), nil
 		}
 		return String(""), nil
 	case "substring-after":
-		if err := arity(args, 2); err != nil {
-			return Value{}, err
-		}
 		s, sep := args[0].AsString(), args[1].AsString()
 		if i := strings.Index(s, sep); i >= 0 {
 			return String(s[i+len(sep):]), nil
@@ -539,9 +491,6 @@ func (f *funcCall) evalCore(ctx *Context) (Value, error) {
 		}
 		return String(strings.Join(strings.Fields(s), " ")), nil
 	case "translate":
-		if err := arity(args, 3); err != nil {
-			return Value{}, err
-		}
 		s, from, to := args[0].AsString(), args[1].AsString(), args[2].AsString()
 		var b strings.Builder
 		for _, r := range s {
@@ -555,19 +504,10 @@ func (f *funcCall) evalCore(ctx *Context) (Value, error) {
 		}
 		return String(b.String()), nil
 	case "floor":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		return Number(math.Floor(args[0].AsNumber())), nil
 	case "ceiling":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		return Number(math.Ceil(args[0].AsNumber())), nil
 	case "round":
-		if err := arity(args, 1); err != nil {
-			return Value{}, err
-		}
 		return Number(math.Round(args[0].AsNumber())), nil
 	case "name", "local-name":
 		if len(args) == 0 {

@@ -420,19 +420,12 @@ func (p *xparser) parsePath() (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		fe := &filterExpr{base: base}
-		for p.acceptSym("[") {
-			pred, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym("]"); err != nil {
-				return nil, err
-			}
-			fe.preds = append(fe.preds, pred)
+		preds, err := p.parsePredicates()
+		if err != nil {
+			return nil, err
 		}
-		var b node = fe
-		if len(fe.preds) == 0 {
+		var b node = &filterExpr{base: base, preds: preds}
+		if len(preds) == 0 {
 			b = base
 		}
 		// Continued path: $var/a/b
@@ -545,17 +538,25 @@ func (p *xparser) parseStep() (step, error) {
 	default:
 		return st, fmt.Errorf("xpath: expected step")
 	}
+	var err error
+	st.preds, err = p.parsePredicates()
+	return st, err
+}
+
+// parsePredicates parses any [expr] predicates that follow.
+func (p *xparser) parsePredicates() ([]node, error) {
+	var preds []node
 	for p.acceptSym("[") {
 		pred, err := p.parseExpr()
 		if err != nil {
-			return st, err
+			return nil, err
 		}
 		if err := p.expectSym("]"); err != nil {
-			return st, err
+			return nil, err
 		}
-		st.preds = append(st.preds, pred)
+		preds = append(preds, pred)
 	}
-	return st, nil
+	return preds, nil
 }
 
 func (p *xparser) parsePrimary() (node, error) {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"wfsql/internal/bea"
 	"wfsql/internal/engine"
 	"wfsql/internal/mswf"
 	"wfsql/internal/obsv"
@@ -94,21 +95,23 @@ func NewEnvironment(w Workload) *Environment {
 	bus := wsbus.New()
 	supplier := wsbus.NewOrderFromSupplier(0)
 	bus.Register("OrderFromSupplier", supplier.Handle)
-	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
+	bea.RegisterSQLAdapter(bus, "SQLAdapter", db)
+	return withHosts(&Environment{DB: db, Bus: bus, Supplier: supplier, Workload: w})
+}
 
-	e := engine.New(bus)
-	e.RegisterDataSource(DataSourceName, db)
-
-	rt := mswf.NewRuntime()
-	rt.RegisterDatabase(DataSourceName, mswf.SQLServer, db)
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
+// withHosts gives env a fresh BPEL engine, WF runtime and Oracle
+// function library wired to its database and supplier.
+func withHosts(env *Environment) *Environment {
+	env.Engine = engine.New(env.Bus)
+	env.Engine.RegisterDataSource(DataSourceName, env.DB)
+	env.Runtime = mswf.NewRuntime()
+	env.Runtime.RegisterDatabase(DataSourceName, mswf.SQLServer, env.DB)
+	supplier := env.Supplier
+	env.Runtime.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
 		return supplier.Handle(req)
 	})
-
-	return &Environment{
-		DB: db, Bus: bus, Engine: e, Runtime: rt,
-		Supplier: supplier, Funcs: orasoa.NewFunctions(db), Workload: w,
-	}
+	env.Funcs = orasoa.NewFunctions(env.DB)
+	return env
 }
 
 // Rebuild models a workflow host restart: the database, service bus,
@@ -117,20 +120,7 @@ func NewEnvironment(w Workload) *Environment {
 // are constructed fresh, with no in-memory state. Recovery tests attach
 // the journal to the rebuilt hosts and resume the in-flight instances.
 func (env *Environment) Rebuild() *Environment {
-	e := engine.New(env.Bus)
-	e.RegisterDataSource(DataSourceName, env.DB)
-
-	rt := mswf.NewRuntime()
-	rt.RegisterDatabase(DataSourceName, mswf.SQLServer, env.DB)
-	supplier := env.Supplier
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
-		return supplier.Handle(req)
-	})
-
-	out := &Environment{
-		DB: env.DB, Bus: env.Bus, Engine: e, Runtime: rt,
-		Supplier: supplier, Funcs: orasoa.NewFunctions(env.DB), Workload: env.Workload,
-	}
+	out := withHosts(&Environment{DB: env.DB, Bus: env.Bus, Supplier: env.Supplier, Workload: env.Workload})
 	if env.obs != nil {
 		// The surviving external systems (DB, bus) keep their attachment;
 		// re-attach the rebuilt hosts to the same bundle.
